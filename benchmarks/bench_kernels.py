@@ -14,6 +14,11 @@ arrays as the frozen reference it replaces:
 3. **Direction-optimizing BFS**: Beamer-style push/pull switching beats the
    push-only expansion on an R-MAT sample (low-diameter scale-free graphs are
    exactly the regime pull mode targets).
+4. **Packed-key CSR construction**: ``CSRGraph.from_edges`` (one sort of
+   ``u << 32 | v`` arc keys) is at least ``FROM_EDGES_GATE``x faster, and
+   ``largest_component`` (relabel-only ``subgraph``) at least ``LCC_GATE``x
+   faster, than the frozen lexsort / rebuild paths of
+   ``tests/graph/frozen_csr.py`` on an R-MAT scale-15 sample.
 
 Every measurement lands in ``BENCH_kernels.json`` via the shared recorder so
 the kernel-perf trajectory stays machine-readable across PRs; CI runs this
@@ -23,16 +28,30 @@ the per-level direction counters are embedded in the artifact.
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 
 from repro.generators.rmat import rmat_graph
+from repro.generators.streaming import rmat_edge_chunks
 from repro.graph import kernels
+from repro.graph.components import largest_component
+from repro.graph.csr import CSRGraph
+
+# The frozen construction references live with the tests; load that one file
+# by path so nothing else under tests/ can shadow an import here.
+_FROZEN_CSR = Path(__file__).resolve().parent.parent / "tests" / "graph" / "frozen_csr.py"
+_spec = importlib.util.spec_from_file_location("frozen_csr", _FROZEN_CSR)
+frozen_csr = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(frozen_csr)
 
 CLAIMS_GATE = 2.0
 MSBFS_GATE = 5.0
+FROM_EDGES_GATE = 5.0
+LCC_GATE = 4.0
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
@@ -197,3 +216,66 @@ def test_direction_optimized_bfs_gate(kernel_bench_recorder):
         f"got {speedup:.2f}x (push {timings['push'] * 1000:.1f} ms, "
         f"auto {timings['auto'] * 1000:.1f} ms)"
     )
+
+
+# ------------------------------------------------------------------ #
+# Gate 4: packed-key CSR construction vs the frozen lexsort/rebuild paths
+# ------------------------------------------------------------------ #
+CONSTRUCTION_SCALE = 15
+
+
+def test_construction_gate(kernel_bench_recorder):
+    num_nodes = 1 << CONSTRUCTION_SCALE
+    edges = np.concatenate(
+        [chunk for chunk, _ in rmat_edge_chunks(CONSTRUCTION_SCALE, 16, seed=7)]
+    )
+    graph = CSRGraph.from_edges(edges, num_nodes=num_nodes)
+    workload = f"rmat{CONSTRUCTION_SCALE}/{edges.shape[0]}-samples"
+
+    for benchmark, units, gate, frozen_run, packed_run in (
+        (
+            "from_edges",
+            edges.shape[0],
+            FROM_EDGES_GATE,
+            lambda: frozen_csr.frozen_from_edges(edges, num_nodes=num_nodes),
+            lambda: CSRGraph.from_edges(edges, num_nodes=num_nodes),
+        ),
+        (
+            "largest_component",
+            graph.num_directed_edges,
+            LCC_GATE,
+            lambda: frozen_csr.frozen_largest_component(graph),
+            lambda: largest_component(graph),
+        ),
+    ):
+        timings, results = interleaved_best(
+            {"frozen": frozen_run, "packed": packed_run}, repetitions=3 if QUICK else 5
+        )
+        # One construction path is a pure execution-strategy change: the CSR
+        # arrays (and the component's id mapping) must be bit-identical.
+        packed = results["packed"]
+        if benchmark == "from_edges":
+            expected, got = results["frozen"], (packed.indptr, packed.indices, packed.weights)
+        else:
+            (expected, expected_ids), (sub, ids) = results["frozen"], packed
+            assert np.array_equal(ids, expected_ids)
+            got = (sub.indptr, sub.indices, sub.weights)
+        assert expected[2] is None and got[2] is None
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
+
+        for mode, seconds in timings.items():
+            kernel_bench_recorder(
+                benchmark=benchmark, workload=workload, units=units,
+                mode=mode, seconds=seconds,
+            )
+        speedup = timings["frozen"] / timings["packed"]
+        kernel_bench_recorder(
+            benchmark=benchmark, workload=workload, units=units,
+            mode="speedup", seconds=timings["packed"], speedup=speedup, gate=gate,
+        )
+        assert speedup >= gate, (
+            f"packed-key {benchmark} must be >= {gate}x over the frozen reference "
+            f"on rmat{CONSTRUCTION_SCALE}, got {speedup:.2f}x "
+            f"(frozen {timings['frozen'] * 1000:.0f} ms, packed {timings['packed'] * 1000:.0f} ms)"
+        )

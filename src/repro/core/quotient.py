@@ -87,43 +87,32 @@ def build_quotient_graph(
     """
     if graph.num_nodes != clustering.num_nodes:
         raise ValueError("graph and clustering refer to different node sets")
-    k = clustering.num_clusters
     edges = graph.edge_array()
-    if edges.size == 0:
-        return QuotientGraph(graph=CSRGraph.empty(k), weights=np.zeros(0) if weighted else None)
     cu = clustering.assignment[edges[:, 0]]
     cv = clustering.assignment[edges[:, 1]]
     cross = cu != cv
-    cu, cv = cu[cross], cv[cross]
-    if cu.size == 0:
-        return QuotientGraph(graph=CSRGraph.empty(k), weights=np.zeros(0) if weighted else None)
-    lo = np.minimum(cu, cv)
-    hi = np.maximum(cu, cv)
-    pair_keys = lo * np.int64(k) + hi
-    if not weighted:
-        unique_keys = np.unique(pair_keys)
-        q_edges = np.stack([unique_keys // k, unique_keys % k], axis=1)
-        return QuotientGraph(graph=CSRGraph.from_edges(q_edges, num_nodes=k), weights=None)
+    path_len = None
+    if weighted:
+        crossing = edges[cross]
+        path_len = (
+            clustering.distance[crossing[:, 0]]
+            + clustering.distance[crossing[:, 1]]
+            + 1
+        ).astype(np.float64)
+    return quotient_from_crossings(cu[cross], cv[cross], clustering.num_clusters, path_len)
 
-    crossing = edges[cross]
-    path_len = (
-        clustering.distance[crossing[:, 0]]
-        + clustering.distance[crossing[:, 1]]
-        + 1
-    ).astype(np.float64)
-    unique_keys, inverse = np.unique(pair_keys, return_inverse=True)
-    min_weight = np.full(unique_keys.size, np.inf)
-    np.minimum.at(min_weight, inverse, path_len)
-    q_edges = np.stack([unique_keys // k, unique_keys % k], axis=1)
-    q_graph = CSRGraph.from_edges(q_edges, num_nodes=k)
 
-    # Align weights with the CSR arc order of the quotient graph: every stored
-    # arc (a, b) maps back to the canonical pair key min*k + max.
-    src = np.repeat(np.arange(k, dtype=np.int64), np.diff(q_graph.indptr))
-    arc_keys = np.minimum(src, q_graph.indices) * np.int64(k) + np.maximum(src, q_graph.indices)
-    positions = np.searchsorted(unique_keys, arc_keys)
-    weights = min_weight[positions].astype(np.float64)
-    return QuotientGraph(graph=q_graph, weights=weights)
+def quotient_from_crossings(
+    cu: np.ndarray, cv: np.ndarray, num_clusters: int, path_len: Optional[np.ndarray] = None
+) -> QuotientGraph:
+    """Quotient graph whose edges are the crossing cluster pairs ``(cu[i], cv[i])``.
+
+    With ``path_len`` (one length per crossing) a quotient edge weighs the
+    minimum over its crossings: the min-weight fold of ``from_edges``.
+    """
+    graph = CSRGraph.from_edges(np.stack([cu, cv], axis=1), num_nodes=num_clusters, weights=path_len)
+    hops = CSRGraph(indptr=graph.indptr, indices=graph.indices) if graph.is_weighted else graph
+    return QuotientGraph(graph=hops, weights=graph.weights)
 
 
 def quotient_apsp(quotient: QuotientGraph) -> np.ndarray:

@@ -14,7 +14,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.generators.weights import maybe_attach_weights
-from repro.graph.builders import symmetrize_edges
 from repro.graph.csr import CSRGraph
 from repro.utils.rng import SeedLike, as_rng
 
@@ -72,8 +71,8 @@ def rmat_graph(
         src += bottom * bit
         dst += right * bit
 
-    edges = symmetrize_edges(np.stack([src, dst], axis=1))
-    graph = CSRGraph.from_edges(edges, num_nodes=num_nodes)
+    # from_edges folds both directions, which is the symmetrization itself.
+    graph = CSRGraph.from_edges(np.stack([src, dst], axis=1), num_nodes=num_nodes)
     if connected_only:
         from repro.graph.components import largest_component
 

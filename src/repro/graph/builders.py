@@ -12,7 +12,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, checked_edges, edge_keys, fold_edge_keys, split_edge_keys
 
 __all__ = [
     "from_adjacency_dict",
@@ -41,19 +41,13 @@ def symmetrize_edges(edges: np.ndarray) -> np.ndarray:
     """Return the symmetric closure of a directed edge array (deduplicated).
 
     Mirrors the preprocessing the paper applies to the Twitter graph ("a
-    symmetrization of a subgraph of the Twitter network").
+    symmetrization of a subgraph of the Twitter network").  Each edge is
+    listed once as ``(min, max)``, sorted, self-loops dropped (node ids up to
+    2^31 - 1).  ``CSRGraph.from_edges`` folds both directions itself.
     """
-    edge_array = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if edge_array.size == 0:
-        return edge_array
-    both = np.concatenate([edge_array, edge_array[:, ::-1]], axis=0)
-    both = both[both[:, 0] != both[:, 1]]
-    canonical = np.sort(both, axis=1)
-    order = np.lexsort((canonical[:, 1], canonical[:, 0]))
-    canonical = canonical[order]
-    keep = np.ones(canonical.shape[0], dtype=bool)
-    keep[1:] = np.any(canonical[1:] != canonical[:-1], axis=1)
-    return canonical[keep]
+    edge_array, _, _ = checked_edges(np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+    keys, _ = fold_edge_keys(edge_keys(edge_array)[0])
+    return np.stack(split_edge_keys(keys), axis=1)
 
 
 def relabel_compact(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

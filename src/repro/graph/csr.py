@@ -13,6 +13,10 @@ validation (including the per-node sorted-``indices`` invariant that the
 binary-search lookups rely on, with weights permuted alongside), self-loop
 removal, duplicate folding (min weight wins), and IO are all shared here.
 
+Construction packs each arc into one ``int64`` key ``u << 32 | v`` (node ids
+up to ``MAX_NODE_ID`` = 2^31 - 1) and sorts once; :func:`fold_edge_keys` is
+shared with the streaming ingest plane and ``symmetrize_edges``.
+
 Nodes are integers ``0 .. n-1``.  Edges are stored twice (once per endpoint),
 self-loops and parallel edges are removed at construction time.
 
@@ -28,6 +32,7 @@ must take one explicitly (copy-on-write stays the caller's choice).
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -39,46 +44,147 @@ from repro.utils.validation import check_node_index
 __all__ = ["CSRGraph"]
 
 
-def _fold_undirected_edges(
-    edge_array: np.ndarray,
-    weight_array: Optional[np.ndarray],
-    num_nodes: int,
-) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Shared edge-list folding: drop self-loops, symmetrize, deduplicate.
+#: Node ids must fit the packed ``u << 32 | v`` int64 edge key.
+MAX_NODE_ID = (1 << 31) - 1
 
-    Returns ``(indptr, indices, weights)``.  Duplicate undirected edges keep
-    the *minimum* weight (the only sensible choice for shortest-path
-    purposes); without weights the duplicates are simply dropped.
+_LOW32 = np.int64(0xFFFFFFFF)
+
+#: Arcs per block of the construction-time scan (bounds its temporaries).
+_SCAN_BLOCK = 1 << 20
+
+
+def release_pages(array: np.ndarray) -> None:
+    """Drop the resident pages of a shared-memmap-backed array or view (best effort).
+
+    The data stays in the page cache, so later reads fault it back in.  Other
+    arrays, copy-on-write memmaps included (their private pages would be
+    lost), are left alone.
     """
-    n = num_nodes
-    mask = edge_array[:, 0] != edge_array[:, 1]
-    edge_array = edge_array[mask]
-    if weight_array is not None:
-        weight_array = weight_array[mask]
+    owner = array
+    while owner is not None and not isinstance(owner, mmap.mmap):
+        if isinstance(owner, np.memmap) and owner.mode == "c":
+            return
+        owner = getattr(owner, "base", None)
+    if owner is None or array.nbytes == 0:
+        return
+    start = array.ctypes.data - np.frombuffer(owner, dtype=np.uint8).ctypes.data
+    aligned = start - start % mmap.PAGESIZE
+    try:
+        owner.madvise(mmap.MADV_DONTNEED, aligned, start + array.nbytes - aligned)
+    except (AttributeError, ValueError, OSError):  # pragma: no cover
+        pass
+
+
+def check_edge_weights(weights: np.ndarray) -> None:
+    """Reject weights that are not finite and strictly positive (NaN fails both tests)."""
+    if weights.size and not (weights.min() > 0 and weights.max() < np.inf):
+        raise ValueError("edge weights must be finite and strictly positive")
+
+
+def checked_edges(edges, weights=None) -> Tuple[np.ndarray, Optional[np.ndarray], int]:
+    """Validated ``(int64 (m, 2) edges, float64 weights or None, largest id or -1)``.
+
+    Ids must be non-negative and fit the packed key; weights must align.
+    """
+    edge_array = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
     if edge_array.size == 0:
-        return (
-            np.zeros(n + 1, dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
-            None if weight_array is None else np.zeros(0, dtype=np.float64),
-        )
-    # Canonicalize to (min, max), fold duplicates, then mirror both ways.
-    canonical = np.sort(edge_array, axis=1)
-    keys = canonical[:, 0] * np.int64(n) + canonical[:, 1]
-    unique_keys, inverse = np.unique(keys, return_inverse=True)
-    unique_edges = np.stack([unique_keys // n, unique_keys % n], axis=1)
-    both = np.concatenate([unique_edges, unique_edges[:, ::-1]], axis=0)
-    both_weights = None
-    if weight_array is not None:
-        folded = np.full(unique_keys.size, np.inf)
-        np.minimum.at(folded, inverse, weight_array)
-        both_weights = np.concatenate([folded, folded])
-    order = np.lexsort((both[:, 1], both[:, 0]))
-    both = both[order]
-    counts = np.bincount(both[:, 0], minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    weights = None if both_weights is None else both_weights[order].copy()
-    return indptr, both[:, 1].copy(), weights
+        edge_array = edge_array.reshape(0, 2)
+    if edge_array.ndim != 2 or edge_array.shape[1] != 2:
+        raise ValueError(f"edges must have shape (m, 2), got {edge_array.shape}")
+    edge_array = edge_array.astype(np.int64, copy=False)
+    if weights is not None:
+        weights = np.asarray(
+            list(weights) if not isinstance(weights, np.ndarray) else weights, dtype=np.float64
+        ).reshape(-1)
+        if edge_array.shape[0] != weights.shape[0]:
+            raise ValueError("edges and weights must have the same length")
+        check_edge_weights(weights)
+    if edge_array.size and edge_array.min() < 0:
+        raise ValueError("edge endpoints must be non-negative")
+    max_id = int(edge_array.max()) if edge_array.size else -1
+    if max_id > MAX_NODE_ID:
+        raise ValueError(f"node id {max_id} exceeds the 2^31 - 1 limit of the packed edge key")
+    return edge_array, weights, max_id
+
+
+def edge_keys(
+    edges: np.ndarray, weights: Optional[np.ndarray] = None, *, mirror: bool = False
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Packed keys of the non-loop edges of a checked ``(m, 2)`` int64 array.
+
+    One canonical key ``min << 32 | max`` per edge, or with ``mirror`` one key
+    ``u << 32 | v`` per arc, both directions (weights duplicated alongside).
+    """
+    u, v = edges[:, 0], edges[:, 1]
+    keep = u != v
+    if not mirror:
+        keys = (np.minimum(u, v) << 32) | np.maximum(u, v)
+    else:
+        keys = np.empty(2 * u.size, dtype=np.int64)
+        for half, (row, col) in ((keys[: u.size], (u, v)), (keys[u.size :], (v, u))):
+            np.left_shift(row, 32, out=half)
+            half |= col
+        keep = np.concatenate([keep, keep])
+        weights = None if weights is None else np.concatenate([weights, weights])
+    if keep.all():
+        return keys, weights
+    return keys[keep], None if weights is None else weights[keep]
+
+
+def split_edge_keys(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(u, v)`` endpoint arrays of packed keys ``u << 32 | v``."""
+    return keys >> 32, keys & _LOW32
+
+
+def fold_edge_keys(
+    keys: np.ndarray, weights: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Sort packed keys and fold repeats, the minimum weight winning.
+
+    Returns strictly increasing keys and their weights.  Unweighted keys are
+    sorted in place.  The argsort need not be stable: a minimum does not
+    depend on order.
+    """
+    if weights is None:
+        keys.sort()
+    else:
+        order = np.argsort(keys)
+        keys, weights = keys[order], weights[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    if weights is not None and keys.size:
+        weights = np.minimum.reduceat(weights, np.flatnonzero(first))
+    return keys[first], weights
+
+
+def _scan_arcs(indptr: np.ndarray, indices: np.ndarray, weights: Optional[np.ndarray]) -> bool:
+    """Check every arc's node id and weight; return whether all rows are sorted.
+
+    Memmap pages are released block by block: opening a snapshot stays lean.
+    """
+    n = indptr.size - 1
+    starts = indptr[1:-1]
+    rows_sorted = True
+    for lo in range(0, indices.size, _SCAN_BLOCK):
+        # One arc of overlap with the next block, so every adjacent pair is seen.
+        block = indices[lo : lo + _SCAN_BLOCK + 1]
+        if block.min() < 0 or block.max() >= n:
+            raise ValueError("indices contain node ids outside [0, num_nodes)")
+        if rows_sorted and block.size > 1:
+            # descending[i] flags block[i + 1] < block[i]; a row start may
+            # descend, so those flags are cleared before asking.
+            descending = block[1:] < block[:-1]
+            first = np.searchsorted(starts, lo + 1)
+            last = np.searchsorted(starts, lo + block.size - 1, side="right")
+            descending[starts[first:last] - lo - 1] = False
+            rows_sorted = not descending.any()
+        release_pages(block)
+        if weights is not None:
+            weight_block = weights[lo : lo + _SCAN_BLOCK]
+            check_edge_weights(weight_block)
+            release_pages(weight_block)
+    return rows_sorted
 
 
 @dataclass(frozen=True)
@@ -122,27 +228,21 @@ class CSRGraph:
         if np.any(np.diff(indptr) < 0):
             raise ValueError("indptr must be non-decreasing")
         n = indptr.size - 1
-        if indices.size and (indices.min() < 0 or indices.max() >= n):
-            raise ValueError("indices contain node ids outside [0, num_nodes)")
         weights = self.weights
         if weights is not None:
             weights = np.ascontiguousarray(np.asarray(weights, dtype=np.float64))
             if weights.shape != indices.shape:
                 raise ValueError("weights must be aligned with indices")
-            if weights.size and weights.min() <= 0:
-                raise ValueError("edge weights must be strictly positive")
         # Enforce the documented invariant that every node's neighbour slice is
         # sorted (``has_edge`` / ``edge_weight`` binary-search it): inputs built
         # via the raw constructor with unsorted rows are sorted here, once,
         # with any weights permuted alongside.
-        if indices.size > 1:
-            descending = np.flatnonzero(indices[1:] < indices[:-1]) + 1
-            if descending.size and np.setdiff1d(descending, indptr).size:
-                rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-                order = np.lexsort((indices, rows))
-                indices = indices[order]
-                if weights is not None:
-                    weights = weights[order]
+        if indices.size and not _scan_arcs(indptr, indices, weights):
+            rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+            order = np.argsort((rows << 32) | indices, kind="stable")
+            indices = indices[order]
+            if weights is not None:
+                weights = weights[order]
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "weights", weights)
@@ -159,8 +259,9 @@ class CSRGraph:
 
         The input is treated as undirected: each edge is inserted in both
         directions; self-loops are dropped.  Without ``weights`` duplicate
-        edges are removed; with ``weights`` (a length-``m`` array of strictly
-        positive values) duplicates keep the minimum weight.
+        edges are removed; with ``weights`` (a length-``m`` array of finite,
+        strictly positive values) duplicates keep the minimum weight.
+        Endpoints must not exceed ``MAX_NODE_ID`` (2^31 - 1).
 
         Parameters
         ----------
@@ -172,32 +273,26 @@ class CSRGraph:
         weights:
             Optional per-edge weights aligned with ``edges``.
         """
-        edge_array = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
-        if edge_array.size == 0:
-            edge_array = edge_array.reshape(0, 2)
-        if edge_array.ndim != 2 or edge_array.shape[1] != 2:
-            raise ValueError(f"edges must have shape (m, 2), got {edge_array.shape}")
-        edge_array = edge_array.astype(np.int64, copy=False)
-        weight_array: Optional[np.ndarray] = None
-        if weights is not None:
-            weight_array = np.asarray(
-                list(weights) if not isinstance(weights, np.ndarray) else weights,
-                dtype=np.float64,
-            ).reshape(-1)
-            if edge_array.shape[0] != weight_array.shape[0]:
-                raise ValueError("edges and weights must have the same length")
-            if weight_array.size and weight_array.min() <= 0:
-                raise ValueError("edge weights must be strictly positive")
-        if edge_array.size and edge_array.min() < 0:
-            raise ValueError("edge endpoints must be non-negative")
-        inferred = int(edge_array.max()) + 1 if edge_array.size else 0
-        n = inferred if num_nodes is None else int(num_nodes)
-        if n < inferred:
+        edge_array, weight_array, max_id = checked_edges(edges, weights)
+        n = max_id + 1 if num_nodes is None else int(num_nodes)
+        if n <= max_id:
             raise ValueError(
-                f"num_nodes={n} is smaller than the largest endpoint + 1 ({inferred})"
+                f"num_nodes={n} is smaller than the largest endpoint + 1 ({max_id + 1})"
             )
-        indptr, indices, folded = _fold_undirected_edges(edge_array, weight_array, n)
-        return cls(indptr=indptr, indices=indices, weights=folded)
+        # Key order is (row, column) order: the folded keys are the CSR rows,
+        # and row r starts at the first key >= r << 32.  Weighted repeats
+        # fold on canonical keys first, so the mirrored argsort sees each once.
+        keys, folded = fold_edge_keys(
+            *edge_keys(edge_array, weight_array, mirror=weight_array is None)
+        )
+        if folded is not None:
+            u, v = split_edge_keys(keys)
+            keys, folded = fold_edge_keys(
+                np.concatenate([keys, (v << 32) | u]), np.concatenate([folded, folded])
+            )
+        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) << 32)
+        keys &= _LOW32
+        return cls(indptr=indptr, indices=keys, weights=folded)
 
     @classmethod
     def empty(cls, num_nodes: int = 0) -> "CSRGraph":
@@ -372,21 +467,25 @@ class CSRGraph:
         """Induced subgraph on ``nodes`` (weights carried over when present).
 
         Returns ``(subgraph, mapping)`` where ``mapping[i]`` is the original
-        id of new node ``i``.
+        id of new node ``i``.  No rebuild: the kept rows are gathered,
+        relabelled (order-preserving, so rows stay sorted) and masked, in
+        ``O(n + arcs of the kept rows)``.
         """
-        keep = np.unique(np.asarray(list(nodes), dtype=np.int64))
-        if keep.size and (keep.min() < 0 or keep.max() >= self.num_nodes):
+        nodes = np.asarray(nodes if isinstance(nodes, np.ndarray) else list(nodes), dtype=np.int64)
+        if nodes.size and (nodes.min() < 0 or nodes.max() >= self.num_nodes):
             raise IndexError("subgraph nodes out of range")
-        new_id = -np.ones(self.num_nodes, dtype=np.int64)
-        new_id[keep] = np.arange(keep.size, dtype=np.int64)
-        src, dst, pos = kernels.gather_neighbors(self.indptr, self.indices, keep)
-        mask = new_id[dst] >= 0
-        edges = np.stack([new_id[src[mask]], new_id[dst[mask]]], axis=1)
-        sub_weights = None if self.weights is None else self.weights[pos[mask]]
-        return (
-            type(self).from_edges(edges, num_nodes=keep.size, weights=sub_weights),
-            keep,
-        )
+        member = np.zeros(self.num_nodes, dtype=bool)
+        member[nodes] = True
+        keep = np.flatnonzero(member)
+        new_id = np.cumsum(member, dtype=np.int64) - 1
+        _, dst, positions = kernels.gather_neighbors(self.indptr, self.indices, keep)
+        inside = member[dst]
+        kept_before = np.concatenate(([0], np.cumsum(inside)))
+        indptr = kept_before[np.concatenate(([0], np.cumsum(self.degrees[keep])))]
+        if kept_before[-1] != dst.size:
+            dst, positions = dst[inside], positions[inside]
+        weights = None if self.weights is None else self.weights[positions]
+        return type(self)(indptr=indptr, indices=new_id[dst], weights=weights), keep
 
     def to_scipy(self):
         """Return the adjacency matrix as a ``scipy.sparse.csr_matrix``.

@@ -7,9 +7,9 @@ chunks in bounded memory:
 
 1. **Chunked external sort** — every incoming chunk is canonicalized
    (self-loops dropped, endpoints ordered, packed into one ``int64`` key per
-   undirected edge), sorted, deduplicated (minimum weight wins, matching
-   ``from_edges``), and written to a sorted *run* file on disk.  Peak memory
-   is a few chunk-sized temporaries.
+   undirected edge), sorted, deduplicated (minimum weight wins, by the
+   ``fold_edge_keys`` that ``from_edges`` uses), and written to a sorted
+   *run* file on disk.  Peak memory is a few chunk-sized temporaries.
 2. **K-way merge** — the runs are merged block-wise into one globally sorted,
    globally deduplicated stream.  Runs are strictly increasing, so a cutoff
    chosen as the minimum next-block boundary guarantees every duplicate of an
@@ -41,7 +41,14 @@ from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.graph import kernels
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import (
+    CSRGraph,
+    checked_edges,
+    edge_keys,
+    fold_edge_keys,
+    release_pages,
+    split_edge_keys,
+)
 from repro.graph.snapshot import SnapshotWriter, load_snapshot
 
 PathLike = Union[str, os.PathLike]
@@ -51,15 +58,16 @@ PathLike = Union[str, os.PathLike]
 #: built graph itself is chunk-size-invariant.
 DEFAULT_CHUNK_EDGES = 1 << 20
 
-#: Entries per merge block read from each sorted run.
-_MERGE_BLOCK = 1 << 19
+#: Entries per merge block read from each sorted run.  A merge round holds
+#: about ``runs * block`` keys, so this bounds both counting passes' memory.
+_MERGE_BLOCK = 1 << 17
 
-#: Edges per counting/scatter slice: caps the size of the ~10 edge-length
-#: temporaries of :func:`_scatter_chunk` independently of merge chunk sizes.
+#: Edges per counting/scatter slice: caps the size of the edge-length
+#: temporaries of :func:`_scatter_arcs` independently of merge chunk sizes.
 _SCATTER_BLOCK = 1 << 19
 
-#: Node ids must fit the packed (u << 32 | v) int64 edge key.
-_MAX_NODE_ID = (1 << 31) - 1
+#: Arcs per scatter write: bounds the output pages resident at once.
+_SCATTER_PIECE = 1 << 16
 
 #: An edge chunk: an ``(m, 2)`` int64 array plus optional aligned weights.
 EdgeChunk = Tuple[np.ndarray, Optional[np.ndarray]]
@@ -72,28 +80,6 @@ __all__ = [
 ]
 
 
-def _advise_dontneed(array) -> None:
-    """Drop the resident pages of a memmap-backed array (best effort).
-
-    File-backed pages stay mapped in the address space until evicted;
-    releasing them after a streaming pass keeps the builder's peak RSS
-    bounded by the chunk temporaries instead of the full output file.
-    Dirty pages remain in the page cache, so nothing is lost.
-    """
-    candidate = array
-    while candidate is not None:
-        mm = getattr(candidate, "_mmap", None)
-        if mm is not None:
-            try:
-                import mmap as _mmap_module
-
-                mm.madvise(_mmap_module.MADV_DONTNEED)
-            except (AttributeError, ValueError, OSError):  # pragma: no cover
-                pass
-            return
-        candidate = getattr(candidate, "base", None)
-
-
 def _canonical_chunk(
     edges: np.ndarray, weights: Optional[np.ndarray]
 ) -> Tuple[np.ndarray, Optional[np.ndarray], int]:
@@ -102,42 +88,9 @@ def _canonical_chunk(
     Returns ``(sorted_unique_keys, folded_weights, max_node_id)`` where the
     keys are strictly increasing (in-chunk duplicates folded, min weight).
     """
-    edges = np.asarray(edges, dtype=np.int64)
-    if edges.size == 0:
-        return np.zeros(0, dtype=np.int64), None if weights is None else np.zeros(0), -1
-    if edges.ndim != 2 or edges.shape[1] != 2:
-        raise ValueError(f"edge chunks must have shape (m, 2), got {edges.shape}")
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64).reshape(-1)
-        if weights.shape[0] != edges.shape[0]:
-            raise ValueError("edge chunk and weight chunk must have the same length")
-        if weights.size and weights.min() <= 0:
-            raise ValueError("edge weights must be strictly positive")
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    if lo.size and lo.min() < 0:
-        raise ValueError("edge endpoints must be non-negative")
-    max_id = int(hi.max()) if hi.size else -1
-    if max_id > _MAX_NODE_ID:
-        raise ValueError(
-            f"node id {max_id} exceeds the 2^31 - 1 limit of the packed edge key"
-        )
-    mask = lo != hi
-    lo, hi = lo[mask], hi[mask]
-    if weights is not None:
-        weights = weights[mask]
-    keys = (lo << np.int64(32)) | hi
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.ones(keys.size, dtype=bool)
-    if keys.size > 1:
-        first[1:] = keys[1:] != keys[:-1]
-    unique_keys = keys[first]
-    folded: Optional[np.ndarray] = None
-    if weights is not None:
-        sorted_weights = weights[order]
-        folded = np.minimum.reduceat(sorted_weights, np.flatnonzero(first)) if keys.size else sorted_weights
-    return unique_keys, folded, max_id
+    edges, weights, max_id = checked_edges(edges, weights)
+    keys, folded = fold_edge_keys(*edge_keys(edges, weights))
+    return keys, folded, max_id
 
 
 def _write_runs(
@@ -220,63 +173,41 @@ def _merge_runs(
         if not key_parts:  # pragma: no cover - cutoff always consumes one block
             raise RuntimeError("merge made no progress")
         merged = np.concatenate(key_parts)
-        order = np.argsort(merged, kind="stable")
-        merged = merged[order]
-        first = np.ones(merged.size, dtype=bool)
-        if merged.size > 1:
-            first[1:] = merged[1:] != merged[:-1]
-        folded: Optional[np.ndarray] = None
-        if weighted:
-            merged_weights = np.concatenate(weight_parts)[order]
-            folded = np.minimum.reduceat(merged_weights, np.flatnonzero(first))
-        yield merged[first], folded
-    for array in keys:
-        _advise_dontneed(array)
+        merged_weights = np.concatenate(weight_parts) if weighted else None
+        # The round's run pages are copied out: release the consumed pages
+        # so the resident set holds one round, not every run read so far.
+        for i in live:
+            release_pages(keys[i][: positions[i]])
+            if weighted:
+                release_pages(weights[i][: positions[i]])
+        yield fold_edge_keys(merged, merged_weights)
 
 
-def _scatter_chunk(
-    keys: np.ndarray,
-    folded: Optional[np.ndarray],
-    cursor: np.ndarray,
-    indices_out,
-    weights_out,
-    num_nodes: int,
+def _scatter_arcs(
+    rows: np.ndarray, vals: np.ndarray, weights: Optional[np.ndarray], cursor: np.ndarray, indices_out, weights_out
 ) -> None:
-    """Scatter one sorted, deduplicated merge chunk into the CSR arrays.
+    """Append the arcs ``rows[i] -> vals[i]`` to their rows, in input order.
 
-    Both arc directions of every edge are written at the edge's stream
-    position; because the stream is sorted by ``(u, v)``, each adjacency row
-    receives its entries in ascending order (all smaller neighbours from the
-    earlier ``(x, w)`` edges, then the larger ones from ``(w, y)``), so no
-    post-sort is needed and the layout matches ``from_edges`` bit for bit.
+    The ``j``-th arc of a row (stable grouping) lands at the row's cursor plus
+    ``j``.  Targets ascend in grouped order, so the writes sweep the output
+    once, in pieces that each release the output pages they span.
     """
-    u = keys >> np.int64(32)
-    v = keys & np.int64(0xFFFFFFFF)
-    k = keys.size
-    rows = np.empty(2 * k, dtype=np.int64)
-    vals = np.empty(2 * k, dtype=np.int64)
-    rows[0::2] = u
-    rows[1::2] = v
-    vals[0::2] = v
-    vals[1::2] = u
-    # Per-row occurrence ranks within this chunk (stable grouping by row).
     order = np.argsort(rows, kind="stable")
     sorted_rows = rows[order]
-    first = np.ones(2 * k, dtype=bool)
-    first[1:] = sorted_rows[1:] != sorted_rows[:-1]
-    group = np.cumsum(first) - 1
-    starts = np.flatnonzero(first)
-    ranks = np.arange(2 * k, dtype=np.int64) - starts[group]
-    occurrence = np.empty(2 * k, dtype=np.int64)
-    occurrence[order] = ranks
-    targets = cursor[rows] + occurrence
-    indices_out[targets] = vals
-    if weights_out is not None:
-        pair_weights = np.empty(2 * k, dtype=np.float64)
-        pair_weights[0::2] = folded
-        pair_weights[1::2] = folded
-        weights_out[targets] = pair_weights
-    cursor += np.bincount(rows, minlength=num_nodes)
+    starts = np.flatnonzero(np.diff(sorted_rows, prepend=-1))
+    group_rows = sorted_rows[starts]
+    sizes = np.diff(starts, append=rows.size)
+    targets = np.repeat(cursor[group_rows] - starts, sizes)
+    targets += np.arange(rows.size, dtype=np.int64)
+    cursor[group_rows] += sizes
+    for lo in range(0, rows.size, _SCATTER_PIECE):
+        piece = slice(lo, lo + _SCATTER_PIECE)
+        written = slice(targets[piece][0], targets[piece][-1] + 1)
+        indices_out[targets[piece]] = vals[order[piece]]
+        release_pages(indices_out[written])
+        if weights_out is not None:
+            weights_out[targets[piece]] = weights[order[piece]]
+            release_pages(weights_out[written])
 
 
 def from_edge_chunks(
@@ -333,10 +264,8 @@ def from_edge_chunks(
             total_edges += keys.size
             for lo in range(0, keys.size, _SCATTER_BLOCK):
                 part = keys[lo : lo + _SCATTER_BLOCK]
-                endpoints = np.empty(2 * part.size, dtype=np.int64)
-                endpoints[0::2] = part >> np.int64(32)
-                endpoints[1::2] = part & np.int64(0xFFFFFFFF)
-                degrees += np.bincount(endpoints, minlength=n)
+                for endpoints in split_edge_keys(part):
+                    degrees += np.bincount(endpoints, minlength=n)
 
         num_arcs = 2 * total_edges
         if snapshot_path is not None:
@@ -351,23 +280,22 @@ def from_edge_chunks(
         indptr_out[0] = 0
         np.cumsum(degrees, out=indptr_out[1:])
 
-        # Pass 2: replay the merge and scatter through per-node cursors.
-        # Slicing a merged chunk is safe — duplicates are already folded and
-        # the cursors carry row state across slices — and caps the scatter
-        # temporaries at ``_SCATTER_BLOCK`` edges regardless of chunk size.
+        # Pass 2: replay the merge and scatter through per-node cursors, in
+        # slices of ``_SCATTER_BLOCK`` edges (duplicates are already folded and
+        # the cursors carry row state across slices).  The stream is sorted by
+        # ``(u, v)`` with ``u < v``, so a row ``w`` gets its smaller neighbours
+        # (edges ``(x, w)``) no later than its larger ones (edges ``(w, y)``),
+        # each ascending: scattering a slice's ``v -> u`` arcs before its
+        # ``u -> v`` arcs fills every row sorted, as ``from_edges`` lays it out.
         cursor = np.cumsum(degrees) - degrees
         for keys, folded in _merge_runs(key_runs, weight_runs):
             for lo in range(0, keys.size, _SCATTER_BLOCK):
-                _scatter_chunk(
-                    keys[lo : lo + _SCATTER_BLOCK],
-                    None if folded is None else folded[lo : lo + _SCATTER_BLOCK],
-                    cursor,
-                    indices_out,
-                    weights_out,
-                    n,
-                )
+                part = keys[lo : lo + _SCATTER_BLOCK]
+                part_weights = None if folded is None else folded[lo : lo + _SCATTER_BLOCK]
+                u, v = split_edge_keys(part)
+                _scatter_arcs(v, u, part_weights, cursor, indices_out, weights_out)
+                _scatter_arcs(u, v, part_weights, cursor, indices_out, weights_out)
         if writer is not None:
-            _advise_dontneed(indices_out)
             path = writer.finalize()
             writer = None
             return load_snapshot(path, mmap=mmap)
@@ -466,7 +394,7 @@ def largest_component_snapshot(
             offset += dst.size
             start = stop
         assert offset == num_arcs
-        _advise_dontneed(writer.indices)
+        release_pages(writer.indices)
         final = writer.finalize()
     except BaseException:
         writer.abort()

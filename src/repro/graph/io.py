@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.graph.builders import relabel_compact, symmetrize_edges
+from repro.graph.builders import relabel_compact
 from repro.graph.csr import CSRGraph
 
 PathLike = Union[str, os.PathLike]
@@ -291,7 +291,9 @@ def load_edge_list(
                 f"{path}: weighted load requires a numeric third column on every data line"
             )
     if weights is None and symmetrize:
-        edges = symmetrize_edges(edges)
+        # ``from_edges`` symmetrizes; self-loops go before relabelling so a
+        # node seen only on a loop does not survive as an isolated node.
+        edges = edges[edges[:, 0] != edges[:, 1]]
     if relabel:
         edges, original_ids = relabel_compact(edges)
         explicit_nodes = int(original_ids.size)

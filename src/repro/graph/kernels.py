@@ -198,11 +198,9 @@ def gather_neighbors(
     total = int(degrees.sum())
     if total == 0:
         return _EMPTY, _EMPTY, _EMPTY
-    # offsets[i] = position of targets[i] within its source's adjacency slice
-    cumulative = np.cumsum(degrees)
-    block_starts = np.repeat(cumulative - degrees, degrees)
-    offsets = np.arange(total, dtype=np.int64) - block_starts
-    positions = np.repeat(starts, degrees) + offsets
+    # positions[i] = starts[row] + (i - first output slot of row)
+    positions = np.repeat(starts - (np.cumsum(degrees) - degrees), degrees)
+    positions += np.arange(total, dtype=np.int64)
     return np.repeat(nodes, degrees), indices[positions], positions
 
 

@@ -20,8 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.quotient import QuotientGraph, quotient_diameter
-from repro.graph.csr import CSRGraph
+from repro.core.quotient import QuotientGraph, quotient_diameter, quotient_from_crossings
 from repro.utils.rng import SeedLike, as_rng
 from repro.weighted.decomposition import WeightedClustering, weighted_cluster
 from repro.weighted.traversal import multi_source_dijkstra, weighted_double_sweep
@@ -150,33 +149,17 @@ def build_weighted_quotient(
     """
     if graph.num_nodes != clustering.num_nodes:
         raise ValueError("graph and clustering refer to different node sets")
-    k = clustering.num_clusters
     edges, weights = graph.edges()
-    if edges.size == 0:
-        return QuotientGraph(graph=CSRGraph.empty(k), weights=np.zeros(0))
     cu = clustering.assignment[edges[:, 0]]
     cv = clustering.assignment[edges[:, 1]]
     cross = cu != cv
-    if not np.any(cross):
-        return QuotientGraph(graph=CSRGraph.empty(k), weights=np.zeros(0))
     crossing = edges[cross]
     path_len = (
         clustering.weighted_distance[crossing[:, 0]]
         + clustering.weighted_distance[crossing[:, 1]]
         + weights[cross]
     )
-    lo = np.minimum(cu[cross], cv[cross])
-    hi = np.maximum(cu[cross], cv[cross])
-    keys = lo * np.int64(k) + hi
-    unique_keys, inverse = np.unique(keys, return_inverse=True)
-    min_weight = np.full(unique_keys.size, np.inf)
-    np.minimum.at(min_weight, inverse, path_len)
-    q_edges = np.stack([unique_keys // k, unique_keys % k], axis=1)
-    q_graph = CSRGraph.from_edges(q_edges, num_nodes=k)
-    src = np.repeat(np.arange(k, dtype=np.int64), np.diff(q_graph.indptr))
-    arc_keys = np.minimum(src, q_graph.indices) * np.int64(k) + np.maximum(src, q_graph.indices)
-    positions = np.searchsorted(unique_keys, arc_keys)
-    return QuotientGraph(graph=q_graph, weights=min_weight[positions].astype(np.float64))
+    return quotient_from_crossings(cu[cross], cv[cross], clustering.num_clusters, path_len)
 
 
 @dataclass(frozen=True)
