@@ -10,9 +10,8 @@ strategy is the backend's choice, the comparison is simply
 (tuple path) on the same driver call.
 
 ``test_structured_cluster_native_beats_tuple_path`` and
-``test_structured_bfs_beats_tuple_path`` are the CI smoke gates (mirroring
-the vectorized-beats-serial shuffle gate of ``bench_backends.py``): they
-fail the build if the ≥5x speedup or the bit-identity ever regresses.  All
+``test_structured_bfs_beats_tuple_path`` are the CI smoke gates: they fail
+the build if the ≥5x speedup or the bit-identity ever regresses.  All
 measurements are appended to ``BENCH_mr.json`` via the shared recorder so
 the perf trajectory is machine-readable across PRs.
 """

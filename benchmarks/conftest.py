@@ -28,7 +28,7 @@ if str(_SRC) not in sys.path:
 # ------------------------------------------------------------------ #
 # Machine-readable MR-performance trajectory (BENCH_mr.json)
 # ------------------------------------------------------------------ #
-# The MR benchmarks (bench_backends.py, bench_structured.py) record one row
+# The MR benchmarks (bench_structured.py, bench_outofcore.py) record one row
 # per measured (workload, backend) pair; at session end the rows are written
 # to BENCH_mr.json (override the path with REPRO_BENCH_MR_JSON) so the perf
 # trajectory stays comparable across PRs.  CI uploads the file as an

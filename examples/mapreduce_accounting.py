@@ -5,9 +5,9 @@ The library's performance claims are stated in the MapReduce model of
 Pietracaprina et al.: number of rounds, communication volume, and local/global
 memory constraints.  This script shows the substrate on its own:
 
-1. run a word-count round and inspect the metered counters,
-2. run the Fact-1 primitives (sort, prefix sum) under a small local memory and
-   watch the round count grow logarithmically,
+1. run a word-count structured round and inspect the metered counters,
+2. charge the Fact-1 primitives (sort, prefix sum) under a shrinking local
+   memory and watch the charged round count grow logarithmically,
 3. execute the CLUSTER-based diameter estimation under a memory-constrained
    model and convert its metrics into simulated wall-clock time,
 4. run the same round on every execution backend (serial / vectorized /
@@ -30,34 +30,34 @@ from repro.mapreduce import (
     MREngine,
     MRModel,
     available_backends,
-    mr_prefix_sum,
-    mr_sort,
+    rounds_for_primitive,
 )
 
 
 def word_count_demo() -> None:
     engine = MREngine()
-    documents = [(None, "graphs are large"), (None, "graphs are sparse")]
+    documents = ArrayPairs(np.zeros(2, dtype=np.int64), np.array(["graphs are large", "graphs are sparse"]))
 
-    def tokenize(key, value):
-        for word in value.split():
-            yield (word, 1)
+    def tokenize(batch: ArrayPairs) -> ArrayPairs:
+        words = [word for document in batch.values.tolist() for word in document.split()]
+        return ArrayPairs(np.array(words), np.ones(len(words), dtype=np.int64))
 
-    def count(key, values):
-        yield (key, sum(values))
-
-    result = dict(engine.run_round(documents, count, mapper=tokenize))
-    print("word count:", result)
+    result = engine.run_structured_round(documents, "sum", mapper=tokenize)
+    print("word count:", dict(result.to_pairs()))
     print("metrics:", engine.metrics.as_dict(), "\n")
 
 
 def primitives_demo() -> None:
+    # Sort and prefix sum are not executed round by round: their cost in the
+    # model is known analytically (Fact 1), so drivers charge it.
+    n = 500
     for local_memory in (1024, 32, 8):
         engine = MREngine(MRModel(local_memory=local_memory, enforce=False))
-        mr_sort(engine, list(range(500))[::-1])
-        mr_prefix_sum(engine, [1.0] * 500)
+        rounds = rounds_for_primitive(n, local_memory)
+        engine.charge_rounds(rounds, pairs_per_round=n, label="sort")
+        engine.charge_rounds(rounds, pairs_per_round=n, label="prefix-sum")
         print(
-            f"M_L = {local_memory:>5}: sort + prefix-sum used "
+            f"M_L = {local_memory:>5}: sort + prefix-sum of {n} items charged "
             f"{engine.metrics.rounds} rounds (Fact 1: O(log_ML n) each)"
         )
     print()
@@ -84,14 +84,11 @@ def backends_demo() -> None:
     rng = np.random.default_rng(0)
     batch = ArrayPairs(rng.integers(0, 64, 5000), rng.integers(0, 100, 5000))
 
-    def count(key, values):
-        yield (key, len(values))
-
     print("\nbackend equivalence on a 5000-pair shuffle:")
     reference = None
     for name in available_backends():
-        engine = MREngine(backend=name, num_shards=4)
-        output = engine.run_round(batch, count)
+        with MREngine(backend=name, num_shards=4) as engine:
+            output = engine.run_structured_round(batch, "count").to_pairs()
         snapshot = (output, engine.metrics.as_dict())
         if reference is None:
             reference = snapshot

@@ -1,13 +1,14 @@
 """Structured MR rounds: array-native reducers executed as segment reductions.
 
-The classic engine path (:meth:`~repro.mapreduce.engine.MREngine.run_round`)
-invokes one Python callable per key, which is exactly the per-pair /
+A *structured round* is the only kind of round
+:meth:`~repro.mapreduce.engine.MREngine.run_structured_round` executes.
+Instead of invoking one Python callable per key — exactly the per-pair /
 per-key object cost the paper's linear-communication algorithms are supposed
-to avoid.  A *structured round* replaces the callable with a declarative
-:class:`StructuredReducer` drawn from a registry (``min``, ``max``, ``sum``,
-``count``, ``first``, ``argmin``, ``bitwise_or``, or a custom registration)
-that every backend knows how to execute over an unflattened
-:class:`~repro.mapreduce.backends.ArrayPairs` batch:
+to avoid — it reduces with a declarative :class:`StructuredReducer` drawn
+from a registry (``min``, ``max``, ``sum``, ``count``, ``first``, ``argmin``,
+``bitwise_or``, or a custom registration) that every backend knows how to
+execute over an unflattened :class:`~repro.mapreduce.backends.ArrayPairs`
+batch:
 
 ``serial``
     Flattens the batch to per-pair Python tuples and runs the reducer's
@@ -51,10 +52,8 @@ Registering a custom segment reducer::
     register_structured_reducer(MyReducer())
     engine.run_structured_round(batch, "my-reducer")
 
-Passing a plain callable to ``run_structured_round`` engages the escape
-hatch: the round is executed through the classic per-key callable machinery
-(still grouped with the backend's shuffle) and the output is converted back
-to arrays, so unported reducers keep working unchanged.
+A reducer must be a registered name or a :class:`StructuredReducer`
+instance; a plain per-key callable is rejected with ``TypeError``.
 """
 
 from __future__ import annotations
@@ -70,12 +69,10 @@ from repro.mapreduce.backends import ArrayPairs
 Key = Hashable
 Value = object
 Pair = Tuple[Key, Value]
-Reducer = Callable[[Key, List[Value]], Iterable[Pair]]
 
 __all__ = [
     "StructuredOutcome",
     "StructuredReducer",
-    "CallableReducer",
     "ArrayMapper",
     "register_structured_reducer",
     "get_structured_reducer",
@@ -88,7 +85,6 @@ __all__ = [
     "segment_eligible",
     "reduce_structured_shard",
     "merge_shard_groups",
-    "outcome_from_round",
 ]
 
 # Key-array dtypes a structured round can group with one argsort: integers,
@@ -101,10 +97,10 @@ _SEGMENT_KEY_KINDS = frozenset("iubUSf")
 class StructuredOutcome:
     """What a backend reports after executing one structured shuffle+reduce.
 
-    The array-native analogue of
-    :class:`~repro.mapreduce.backends.RoundOutcome`: ``output`` is an
-    :class:`ArrayPairs` batch (groups in first-occurrence order of their
-    key), the counters are the same metered quantities.
+    ``output`` is an :class:`ArrayPairs` batch (groups in first-occurrence
+    order of their key); ``pairs_shuffled`` counts the mapped pairs moved
+    through the shuffle and ``max_reducer_input`` is the size of the largest
+    group (the M_L-constrained quantity).
     """
 
     output: ArrayPairs
@@ -152,9 +148,9 @@ class StructuredReducer(ABC):
       reduced row per group (plus an optional emit mask for reducers that
       drop groups); and
     * :meth:`reference` — the per-key tuple-path callable with the exact
-      same semantics, used by the serial backend and by the escape-hatch /
-      fallback paths.  Bit-compatibility between the two is what the
-      cross-backend equivalence suite enforces.
+      same semantics, used by the serial backend and by the fallback paths.
+      Bit-compatibility between the two is what the cross-backend
+      equivalence suite enforces.
 
     ``values_ndim`` restricts the accepted value-array rank (``None`` = any);
     violating it raises ``ValueError`` identically on every backend.
@@ -198,28 +194,6 @@ class StructuredReducer(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-class CallableReducer(StructuredReducer):
-    """Escape hatch: wrap an arbitrary per-key callable as a structured reducer.
-
-    The wrapped callable runs through the classic per-key machinery on every
-    backend (the vectorized backend still groups with its argsort shuffle but
-    invokes Python per group), so correctness never depends on a segment
-    implementation existing.
-    """
-
-    name = "callable"
-    supports_segments = False
-
-    def __init__(self, func: Reducer) -> None:
-        self.func = func
-
-    def segment_reduce(self, sorted_values, starts, ends):  # pragma: no cover
-        raise NotImplementedError("CallableReducer has no segment fast path")
-
-    def reference(self, key, values):
-        return self.func(key, values)
 
 
 class _MinReducer(StructuredReducer):
@@ -364,17 +338,16 @@ def available_structured_reducers() -> List[str]:
     return sorted(_REGISTRY)
 
 
-def resolve_structured_reducer(
-    spec: Union[str, StructuredReducer, Reducer],
-) -> StructuredReducer:
-    """Resolve a name / instance / plain callable to a :class:`StructuredReducer`."""
+def resolve_structured_reducer(spec: Union[str, StructuredReducer]) -> StructuredReducer:
+    """Resolve a registered name or an instance to a :class:`StructuredReducer`."""
     if isinstance(spec, StructuredReducer):
         return spec
     if isinstance(spec, str):
         return get_structured_reducer(spec)
-    if callable(spec):
-        return CallableReducer(spec)
-    raise TypeError(f"cannot resolve {spec!r} to a structured reducer")
+    raise TypeError(
+        f"cannot resolve {spec!r} to a structured reducer: pass a registered "
+        "name or a StructuredReducer instance"
+    )
 
 
 for _reducer in (
@@ -524,28 +497,6 @@ def reduce_structured_shard(
     """
     reducer, keys, values, global_indices = task
     return _segment_groups(keys, values, reducer, global_indices)
-
-
-def outcome_from_round(outcome) -> StructuredOutcome:
-    """Convert a classic :class:`RoundOutcome` (pair list) back to arrays.
-
-    Used by the callable escape hatch: every backend runs the wrapped
-    callable through its own classic shuffle (producing identical pair
-    lists), so converting with plain ``np.asarray`` inference yields
-    identical arrays on every backend.
-    """
-    if not outcome.output:
-        return StructuredOutcome(
-            ArrayPairs(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)),
-            outcome.pairs_shuffled,
-            outcome.max_reducer_input,
-        )
-    keys, values = zip(*outcome.output)
-    return StructuredOutcome(
-        ArrayPairs(np.asarray(keys), np.asarray(values)),
-        outcome.pairs_shuffled,
-        outcome.max_reducer_input,
-    )
 
 
 def merge_shard_groups(

@@ -57,11 +57,12 @@ class TestOracleBounds:
         oracle = build_distance_oracle(mesh20, seed=1)
         assert oracle.query(7, 7) == (0.0, 0.0)
 
-    def test_query_upper_deprecated_but_correct(self, mesh20):
+    def test_query_upper_bound_correct(self, mesh20):
         oracle = build_distance_oracle(mesh20, seed=2)
-        with pytest.warns(DeprecationWarning, match="query_upper is deprecated"):
-            upper = oracle.query_upper(0, 399)
-        assert upper == oracle.query(0, 399)[1]
+        upper = oracle.query(0, 399)[1]
+        # Opposite corners of the 20x20 mesh are 38 hops apart.
+        assert upper >= bfs_distances(mesh20, 0)[399] == 38
+        assert upper == float(oracle.query_batch(np.array([0]), np.array([399]))[1][0])
 
     def test_out_of_range_rejected(self, mesh8):
         oracle = build_distance_oracle(mesh8, seed=3)

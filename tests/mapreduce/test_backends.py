@@ -1,7 +1,8 @@
 """Cross-backend equivalence suite for the MR execution backends.
 
 Every backend must be bit-compatible with the serial reference: identical
-output pairs (same order) and identical :class:`MRMetrics` for any workload.
+output pairs (same order) and identical :class:`MRMetrics` for any structured
+round.
 This is what allows the experiment harness to treat the backend as a pure
 performance knob.
 """
@@ -23,30 +24,45 @@ from repro.mapreduce.backends import (
 )
 from repro.mapreduce.engine import MREngine
 from repro.mapreduce.model import MRConstraintViolation, MRModel
+from repro.mapreduce.structured import get_structured_reducer
 
 BACKENDS = ("serial", "vectorized", "process")
 
 
-def sum_reducer(key, values):
-    yield (key, sum(values))
+def object_keys(keys):
+    """A one-dimensional object array holding ``keys`` as given."""
+    array = np.empty(len(keys), dtype=object)
+    for index, key in enumerate(keys):
+        array[index] = key
+    return array
 
 
-def count_reducer(key, values):
-    yield (key, len(values))
+def fanout_mapper(batch):
+    """Every pair (k, v) becomes (k, v) followed by (k + 1, 2v)."""
+    keys = np.column_stack((batch.keys, batch.keys + 1)).ravel()
+    values = np.column_stack((batch.values, batch.values * 2)).ravel()
+    return ArrayPairs(keys, values)
 
 
-def fanout_mapper(key, value):
-    yield (key, value)
-    yield (key + 1, value * 2)
+def reference_round(batch, reducer):
+    """Independent per-key oracle: dict grouping + the reducer's reference.
+
+    Returns ``(pairs, pairs_shuffled, max_reducer_input)``.
+    """
+    groups = {}
+    for key, value in batch.to_pairs():
+        groups.setdefault(key, []).append(value)
+    pairs = [pair for key, values in groups.items() for pair in reducer.reference(key, values)]
+    return pairs, len(batch), max((len(values) for values in groups.values()), default=0)
 
 
-def run_all_backends(pairs, reducer, *, mapper=None, num_shards=3):
-    """Execute one round on every backend; return {name: (output, metrics)}."""
+def run_all_backends(batch, reducer, *, mapper=None, num_shards=3):
+    """Execute one structured round on every backend; return {name: (pairs, metrics)}."""
     results = {}
     for name in BACKENDS:
-        engine = MREngine(backend=name, num_shards=num_shards)
-        output = engine.run_round(pairs, reducer, mapper=mapper)
-        results[name] = (output, engine.metrics.as_dict())
+        with MREngine(backend=name, num_shards=num_shards) as engine:
+            output = engine.run_structured_round(batch, reducer, mapper=mapper)
+            results[name] = (output.to_pairs(), engine.metrics.as_dict())
     return results
 
 
@@ -64,9 +80,9 @@ def assert_all_equal(results):
 def test_random_int_workloads_identical(seed):
     rng = np.random.default_rng(seed)
     size = int(rng.integers(1, 400))
-    keys = rng.integers(0, max(2, size // 4), size=size).tolist()
-    values = rng.integers(-100, 100, size=size).tolist()
-    results = run_all_backends(list(zip(keys, values)), sum_reducer)
+    keys = rng.integers(0, max(2, size // 4), size=size)
+    values = rng.integers(-100, 100, size=size)
+    results = run_all_backends(ArrayPairs(keys, values), "sum")
     assert_all_equal(results)
 
 
@@ -74,78 +90,69 @@ def test_random_int_workloads_identical(seed):
 def test_random_workloads_with_mapper_identical(seed):
     rng = np.random.default_rng(100 + seed)
     size = int(rng.integers(1, 200))
-    pairs = list(zip(rng.integers(0, 20, size=size).tolist(), rng.integers(0, 9, size=size).tolist()))
-    results = run_all_backends(pairs, sum_reducer, mapper=fanout_mapper)
+    batch = ArrayPairs(rng.integers(0, 20, size=size), rng.integers(0, 9, size=size))
+    results = run_all_backends(batch, "sum", mapper=fanout_mapper)
     assert_all_equal(results)
+    assert results["serial"][1]["shuffled_pairs"] == 2 * size
 
 
 def test_string_keys_identical():
     rng = np.random.default_rng(7)
-    words = ["alpha", "beta", "gamma", "delta", "a", "zz"]
-    pairs = [(words[int(i)], int(v)) for i, v in zip(rng.integers(0, len(words), 300), rng.integers(0, 50, 300))]
-    results = run_all_backends(pairs, sum_reducer)
+    words = np.array(["alpha", "beta", "gamma", "delta", "a", "zz"])
+    batch = ArrayPairs(words[rng.integers(0, len(words), 300)], rng.integers(0, 50, 300))
+    results = run_all_backends(batch, "sum")
     assert_all_equal(results)
 
 
-def test_tuple_keys_fall_back_and_stay_identical():
-    # Tuple keys defeat the argsort fast path; the vectorized backend must
-    # transparently fall back to dict grouping and still match bit-for-bit.
-    rng = np.random.default_rng(8)
-    pairs = [((int(k) % 3, int(k) % 5), int(v)) for k, v in zip(rng.integers(0, 30, 200), rng.integers(0, 9, 200))]
-    results = run_all_backends(pairs, sum_reducer)
-    assert_all_equal(results)
-
-
+# Object key arrays cannot be argsort-grouped: every backend falls back to
+# the tuple path, whose dict grouping decides which keys are equal.
 def test_mixed_type_keys_identical():
-    pairs = [(None, 1), ("x", 2), (3, 4), (None, 5), ((1, 2), 6), ("x", 7)]
-    results = run_all_backends(pairs, count_reducer)
+    batch = ArrayPairs(object_keys([None, "x", 3, (1, 2), None, "x"]), np.arange(1, 7))
+    results = run_all_backends(batch, "count")
     assert_all_equal(results)
+    assert results["serial"][0] == [(None, 2), ("x", 2), (3, 1), ((1, 2), 1)]
 
 
 def test_str_and_int_keys_stay_distinct():
-    # np.asarray([3, "3"]) coerces to one string dtype; the vectorized backend
-    # must not let that merge keys a dict keeps distinct.
-    pairs = [("3", 1), (3, 2), ("3", 4), (3, 8)]
-    results = run_all_backends(pairs, sum_reducer)
+    # np.asarray([3, "3"]) would coerce to one string dtype; an object key
+    # array must not let that merge keys a dict keeps distinct.
+    batch = ArrayPairs(object_keys(["3", 3, "3", 3]), np.array([1, 2, 4, 8]))
+    results = run_all_backends(batch, "sum")
     assert_all_equal(results)
     assert results["serial"][0] == [("3", 5), (3, 10)]
 
 
 def test_bytes_and_str_keys_stay_distinct():
-    pairs = [(b"a", 1), ("a", 2), (b"a", 4)]
-    results = run_all_backends(pairs, sum_reducer)
+    batch = ArrayPairs(object_keys([b"a", "a", b"a"]), np.array([1, 2, 4]))
+    results = run_all_backends(batch, "sum")
     assert_all_equal(results)
     assert results["serial"][0] == [(b"a", 5), ("a", 2)]
 
 
 def test_bool_and_int_keys_merge_like_dict():
     # hash(True) == hash(1): a dict groups them; every backend must agree.
-    pairs = [(True, 1), (1, 2), (0, 4), (False, 8)]
-    results = run_all_backends(pairs, sum_reducer)
+    batch = ArrayPairs(object_keys([True, 1, 0, False]), np.array([1, 2, 4, 8]))
+    results = run_all_backends(batch, "sum")
     assert_all_equal(results)
     assert results["serial"][0] == [(True, 3), (0, 12)]
 
 
 def test_numpy_array_values_identical():
-    # Values that are NumPy arrays (HADI-sketch-like payloads) must survive
-    # pickling through the process backend and grouping in the others.
+    # Row-valued pairs (HADI-sketch-like payloads) must survive pickling
+    # through the process backend and grouping in the others.
     rng = np.random.default_rng(9)
-    pairs = [(int(k), rng.integers(0, 2**32, size=4, dtype=np.uint64)) for k in rng.integers(0, 6, 40)]
-
-    def or_reducer(key, values):
-        merged = values[0]
-        for value in values[1:]:
-            merged = merged | value
-        yield (key, merged.tolist())
-
-    results = run_all_backends(pairs, or_reducer)
+    sketches = rng.integers(0, 2**32, size=(40, 4), dtype=np.uint64)
+    batch = ArrayPairs(rng.integers(0, 6, 40), sketches)
+    results = run_all_backends(batch, "bitwise_or")
     assert_all_equal(results)
+    for key, merged in results["serial"][0]:
+        assert merged == np.bitwise_or.reduce(sketches[batch.keys == key], axis=0).tolist()
 
 
 def test_sorted_outputs_identical_on_large_random_workload():
     rng = np.random.default_rng(10)
-    pairs = list(zip(rng.integers(0, 500, 5000).tolist(), rng.integers(0, 1000, 5000).tolist()))
-    results = run_all_backends(pairs, sum_reducer, num_shards=5)
+    batch = ArrayPairs(rng.integers(0, 500, 5000), rng.integers(0, 1000, 5000))
+    results = run_all_backends(batch, "sum", num_shards=5)
     assert_all_equal(results)
     reference = sorted(results["serial"][0])
     for name, (output, _) in results.items():
@@ -156,43 +163,34 @@ def test_sorted_outputs_identical_on_large_random_workload():
 # Randomized cross-backend equivalence sweep
 # ---------------------------------------------------------------------- #
 def _random_workload(rng):
-    """One random workload: (pairs-or-ArrayPairs, structured-reducer-name-or-None).
+    """One random workload: (ArrayPairs batch, structured-reducer name).
 
-    Samples the whole space the backends must agree on: mixed int/str/tuple
-    keys, float keys with and without NaN, empty batches, single-key batches,
-    flattened tuples vs unflattened ArrayPairs, and — for numeric array
-    batches — a structured reducer paired with its callable reference.
+    Samples the key families the backends must agree on: int, str and
+    object keys, float keys with and without NaN, empty batches and
+    single-key batches.
     """
-    family = rng.choice(
-        ["int", "str", "tuple", "mixed", "float", "nan-float", "single-key", "empty"]
-    )
+    family = rng.choice(["int", "str", "mixed", "float", "nan-float", "single-key", "empty"])
     size = int(rng.integers(1, 200))
     values = rng.integers(-50, 50, size=size)
     if family == "empty":
-        return ([], None) if rng.random() < 0.5 else (ArrayPairs(np.zeros(0, np.int64), np.zeros(0, np.int64)), "sum")
+        return ArrayPairs(np.zeros(0, np.int64), np.zeros(0, np.int64)), "sum"
     if family == "int":
         keys = rng.integers(-10, 25, size=size)
-        if rng.random() < 0.5:
-            return ArrayPairs(keys, values), str(rng.choice(["min", "max", "sum", "count", "first"]))
-        return list(zip(keys.tolist(), values.tolist())), None
+        return ArrayPairs(keys, values), str(rng.choice(["min", "max", "sum", "count", "first"]))
     if family == "single-key":
         keys = np.full(size, int(rng.integers(0, 5)))
-        if rng.random() < 0.5:
-            return ArrayPairs(keys, values), str(rng.choice(["min", "sum", "count"]))
-        return list(zip(keys.tolist(), values.tolist())), None
+        return ArrayPairs(keys, values), str(rng.choice(["min", "sum", "count"]))
     if family == "str":
-        words = ["alpha", "beta", "gamma", "d", "ee"]
-        return [(words[int(k) % len(words)], int(v)) for k, v in zip(rng.integers(0, 9, size), values)], None
-    if family == "tuple":
-        return [((int(k) % 3, int(k) % 4), int(v)) for k, v in zip(rng.integers(0, 24, size), values)], None
+        words = np.array(["alpha", "beta", "gamma", "d", "ee"])
+        return ArrayPairs(words[rng.integers(0, len(words), size)], values), "sum"
     if family == "mixed":
-        pool = [None, "x", 3, (1, 2), "3", b"x", True, 0]
-        return [(pool[int(k) % len(pool)], int(v)) for k, v in zip(rng.integers(0, 64, size), values)], None
-    # float / nan-float
+        pool = [None, "x", 3, "3", b"x", True, 0]
+        keys = object_keys([pool[int(k) % len(pool)] for k in rng.integers(0, 64, size)])
+        return ArrayPairs(keys, values), "sum"
     keys = rng.uniform(-3, 3, size).round(1)
     if family == "nan-float":
         keys[rng.random(size) < 0.2] = np.nan
-    return list(zip(keys.tolist(), values.tolist())), None
+    return ArrayPairs(keys, values), "sum"
 
 
 def _pairs_equal(left, right):
@@ -212,38 +210,24 @@ def _pairs_equal(left, right):
 def test_randomized_cross_backend_sweep(seed):
     """Any workload, any backend: identical output order and identical metrics.
 
-    When the workload pairs a structured reducer with an ArrayPairs batch,
-    the structured round (segment reductions on vectorized, array shards on
-    process) is additionally checked against the classic round running the
-    reducer's callable reference — same pairs, same counters.
+    The serial round is additionally checked against an independent per-key
+    oracle running the reducer's reference callable — same pairs, same
+    counters.
     """
     rng = np.random.default_rng(1000 + seed)
     for _ in range(8):
         workload, structured_name = _random_workload(rng)
-        outputs = {}
-        metrics = {}
-        for name in BACKENDS:
-            engine = MREngine(backend=name, num_shards=3)
-            if structured_name is not None:
-                out = engine.run_structured_round(workload, structured_name).to_pairs()
-            else:
-                out = engine.run_round(workload, sum_reducer)
-            outputs[name] = out
-            metrics[name] = engine.metrics.as_dict()
-            engine.close()
-        for name in BACKENDS:
-            assert _pairs_equal(outputs[name], outputs["serial"]), (name, structured_name)
-            assert metrics[name] == metrics["serial"], (name, structured_name)
-        if structured_name is not None and isinstance(workload, ArrayPairs):
-            # Structured fast path vs the per-key callable reference.
-            from repro.mapreduce.structured import get_structured_reducer
-
-            reference_engine = MREngine(backend="serial")
-            reference = reference_engine.run_round(
-                workload, get_structured_reducer(structured_name).reference
-            )
-            assert _pairs_equal(outputs["serial"], reference)
-            assert metrics["serial"] == reference_engine.metrics.as_dict()
+        results = run_all_backends(workload, structured_name)
+        serial_pairs, serial_metrics = results["serial"]
+        for name, (pairs, metrics) in results.items():
+            assert _pairs_equal(pairs, serial_pairs), (name, structured_name)
+            assert metrics == serial_metrics, (name, structured_name)
+        pairs, shuffled, max_input = reference_round(
+            workload, get_structured_reducer(structured_name)
+        )
+        assert _pairs_equal(serial_pairs, pairs)
+        assert serial_metrics["shuffled_pairs"] == shuffled
+        assert serial_metrics["max_reducer_input"] == max_input
 
 
 # ---------------------------------------------------------------------- #
@@ -252,32 +236,21 @@ def test_randomized_cross_backend_sweep(seed):
 def test_array_pairs_identical_across_backends():
     rng = np.random.default_rng(11)
     batch = ArrayPairs(rng.integers(0, 40, 600), rng.integers(0, 1000, 600))
-    results = run_all_backends(batch, sum_reducer)
+    results = run_all_backends(batch, "sum")
     assert_all_equal(results)
 
 
 def test_array_pairs_matches_flattened_input():
+    # The segment fast path never flattens; its output must equal grouping
+    # the flattened per-pair tuples.
     rng = np.random.default_rng(12)
     batch = ArrayPairs(rng.integers(0, 25, 300), rng.integers(0, 9, 300))
-    engine_batch = MREngine(backend="vectorized")
-    engine_flat = MREngine(backend="vectorized")
-    out_batch = engine_batch.run_round(batch, sum_reducer)
-    out_flat = engine_flat.run_round(batch.to_pairs(), sum_reducer)
-    assert out_batch == out_flat
-    assert engine_batch.metrics.as_dict() == engine_flat.metrics.as_dict()
-
-
-def test_run_rounds_with_array_pairs_and_no_stages():
-    batch = ArrayPairs(np.array([1, 2]), np.array([3, 4]))
-    assert MREngine().run_rounds(batch, []) == [(1, 3), (2, 4)]
-
-
-def test_run_rounds_with_array_pairs_pipeline():
-    batch = ArrayPairs(np.array([0, 1, 0]), np.array([1, 2, 3]))
-    engine = MREngine(backend="vectorized")
-    out = engine.run_rounds(batch, [(None, sum_reducer), (None, count_reducer)])
-    assert out == [(0, 1), (1, 1)]
-    assert engine.metrics.rounds == 2
+    with MREngine(backend="vectorized") as engine:
+        out = engine.run_structured_round(batch, "sum")
+    pairs, shuffled, max_input = reference_round(batch, get_structured_reducer("sum"))
+    assert out.to_pairs() == pairs
+    assert engine.metrics.shuffled_pairs == shuffled
+    assert engine.metrics.max_reducer_input == max_input
 
 
 def test_array_pairs_validation():
@@ -294,14 +267,14 @@ def test_array_pairs_validation():
 def test_local_memory_violation_raises_on_every_backend(backend):
     engine = MREngine(MRModel(local_memory=2, enforce=True), backend=backend, num_shards=2)
     with pytest.raises(MRConstraintViolation):
-        engine.run_round([(0, i) for i in range(5)], sum_reducer)
+        engine.run_structured_round(ArrayPairs(np.zeros(5, np.int64), np.arange(5)), "sum")
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_global_memory_violation_raises_on_every_backend(backend):
     engine = MREngine(MRModel(global_memory=3, enforce=True), backend=backend, num_shards=2)
     with pytest.raises(MRConstraintViolation):
-        engine.run_round([(i, i) for i in range(10)], sum_reducer)
+        engine.run_structured_round(ArrayPairs(np.arange(10), np.arange(10)), "sum")
 
 
 # ---------------------------------------------------------------------- #

@@ -9,6 +9,8 @@ global: the respawned worker of the rebuilt pool must not re-fire it.
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,6 @@ from repro.mapreduce import shm
 from repro.mapreduce.backends import (
     ArrayPairs,
     ProcessBackend,
-    SerialBackend,
     WorkerLostError,
     fork_available,
 )
@@ -57,6 +58,11 @@ def serial_reference(batch, reducer_name):
     return out, engine.metrics.as_dict()
 
 
+def tickets_claimed(state_dir):
+    """How many times the plan's faults fired (one ticket file per firing)."""
+    return len(list(state_dir.glob("fault-*"))) if state_dir.exists() else 0
+
+
 def assert_bit_identical(batch, reducer_name, backend):
     expected, expected_metrics = serial_reference(batch, reducer_name)
     with MREngine(backend=backend) as engine:
@@ -73,40 +79,39 @@ def assert_bit_identical(batch, reducer_name, backend):
 class TestWorkerDeath:
     def test_shm_round_survives_worker_kill(self, tmp_path):
         """SIGKILL one worker mid shm round; the retried round is identical."""
+        state = tmp_path / "state"
         FaultPlan(
             specs=(FaultSpec(site="mr.worker.shm", kind="kill"),),
-            state_dir=str(tmp_path / "state"),
+            state_dir=str(state),
         ).install()
         backend = chaos_backend()
         try:
             assert_bit_identical(structured_batch(), "min", backend)
         finally:
             backend.close()
+        assert tickets_claimed(state) == 1, "the kill fault never fired"
 
-    def test_classic_round_survives_worker_kill(self, tmp_path):
+    def test_pickled_shard_round_survives_worker_kill(self, tmp_path):
+        """SIGKILL one worker mid pickled-shard round (below the shm threshold)."""
+        state = tmp_path / "state"
         FaultPlan(
-            specs=(FaultSpec(site="mr.worker.classic", kind="kill"),),
-            state_dir=str(tmp_path / "state"),
+            specs=(FaultSpec(site="mr.worker.structured", kind="kill"),),
+            state_dir=str(state),
         ).install()
-        backend = chaos_backend()
-        pairs = [(i % 7, i) for i in range(500)]
-
-        def reducer(key, values):
-            yield (key, sum(values))
-
-        expected = SerialBackend().shuffle_reduce(list(pairs), reducer)
+        batch = structured_batch(seed=7, n=500, num_keys=7)
+        backend = chaos_backend(shm_min_pairs=len(batch) + 1)
         try:
-            got = backend.shuffle_reduce(list(pairs), reducer)
+            assert_bit_identical(batch, "sum", backend)
         finally:
             backend.close()
-        assert expected.output == got.output
-        assert expected.max_reducer_input == got.max_reducer_input
+        assert tickets_claimed(state) == 1, "the kill fault never fired"
 
     def test_repeated_kills_fall_back_in_process(self, tmp_path):
         """More kills than retries: the driver-side fallback still answers."""
+        state = tmp_path / "state"
         FaultPlan(
             specs=(FaultSpec(site="mr.worker.shm", kind="kill", times=10),),
-            state_dir=str(tmp_path / "state"),
+            state_dir=str(state),
         ).install()
         backend = chaos_backend(max_round_retries=1)
         try:
@@ -116,6 +121,7 @@ class TestWorkerDeath:
             assert_bit_identical(structured_batch(seed=8), "sum", backend)
         finally:
             backend.close()
+        assert tickets_claimed(state) >= 2, "a pool attempt survived the kill faults"
 
 
 # ------------------------------------------------------------------ #
@@ -136,32 +142,44 @@ class TestInfraFaults:
 
     def test_hung_worker_trips_round_timeout(self, tmp_path):
         """A worker hang past the round timeout is retried, not waited out."""
+        state = tmp_path / "state"
         FaultPlan(
             specs=(FaultSpec(site="mr.worker.shm", kind="hang", delay_s=5.0),),
-            state_dir=str(tmp_path / "state"),
+            state_dir=str(state),
         ).install()
         backend = chaos_backend(round_timeout=0.5)
         try:
             assert_bit_identical(structured_batch(seed=13), "count", backend)
         finally:
             backend.close()
+        assert tickets_claimed(state) == 1, "the hang fault never fired"
 
-    def test_error_budget_exhaustion_falls_back(self, tmp_path):
+    def test_error_budget_exhaustion_falls_back(self, tmp_path, caplog):
         """Error faults outlasting every pool retry hit the terminal fallback.
 
-        One shard per round and a global ticket budget equal to the attempt
-        count makes the accounting exact: all three pool attempts fail, and
-        the in-process fallback runs with the budget already spent.
+        Two shards per round on the pickled-shard path, and a global ticket
+        budget of one ticket per pool task over all three attempts, make the
+        accounting exact: a pool round finishes every task before it reports
+        a failure, so each attempt spends two tickets and fails, and the
+        in-process fallback runs with the budget already spent.
         """
+        state = tmp_path / "state"
+        shards, attempts = 2, 3
         FaultPlan(
-            specs=(FaultSpec(site="mr.worker.structured", kind="error", times=3),),
-            state_dir=str(tmp_path / "state"),
+            specs=(FaultSpec(site="mr.worker.structured", kind="error", times=shards * attempts),),
+            state_dir=str(state),
         ).install()
-        backend = chaos_backend(num_shards=1, max_round_retries=2, shm_min_pairs=10**9)
+        backend = chaos_backend(
+            num_shards=shards, max_round_retries=attempts - 1, shm_min_pairs=10**9
+        )
         try:
-            assert_bit_identical(structured_batch(seed=17), "min", backend)
+            with caplog.at_level(logging.WARNING, logger="repro.mapreduce.backends"):
+                assert_bit_identical(structured_batch(seed=17), "min", backend)
         finally:
             backend.close()
+        assert tickets_claimed(state) == shards * attempts
+        assert caplog.text.count("pool round attempt") == attempts
+        assert "retry budget exhausted; running round in-process" in caplog.text
 
 
 # ------------------------------------------------------------------ #

@@ -34,7 +34,6 @@ from repro.mapreduce import shm
 from repro.mapreduce.backends import (
     ArrayPairs,
     ProcessBackend,
-    SerialBackend,
     fork_available,
     shutdown_pool,
 )
@@ -381,17 +380,17 @@ def test_no_fork_structured_rounds_bit_identical(monkeypatch):
 
 
 def test_no_fork_tuple_rounds_and_pins_bit_identical(monkeypatch):
+    """Below the shm threshold a no-fork process round reduces its shards
+    in-process and still matches the serial tuple path bit for bit."""
     monkeypatch.setenv("REPRO_MR_NO_FORK", "1")
     backend = ProcessBackend(num_shards=3)
-    pairs = [(i % 7, i) for i in range(200)]
-
-    def reducer(key, values):
-        yield (key, sum(values))
-
-    expected = SerialBackend().shuffle_reduce(list(pairs), reducer)
-    got = backend.shuffle_reduce(list(pairs), reducer)
-    assert expected.output == got.output
-    assert expected.max_reducer_input == got.max_reducer_input
+    batch = ArrayPairs(np.arange(200, dtype=np.int64) % 7, np.arange(200, dtype=np.int64))
+    expected, expected_metrics = run_reference(batch, "sum")
+    with MREngine(backend=backend) as engine:
+        got = engine.run_structured_round(batch, "sum")
+        assert np.array_equal(expected.keys, got.keys)
+        assert np.array_equal(expected.values, got.values)
+        assert engine.metrics.as_dict() == expected_metrics
 
     # pin_shared degrades to identity: the very same arrays come back and no
     # segment is ever created.
